@@ -3,10 +3,11 @@
 //! Measures the raw gzip compress/decompress rate at every level on the
 //! paper-shaped 1156 × 82 × 2 temperature array (raw little-endian f64
 //! bytes), the standalone checksum kernels, and the full lossy pipeline
-//! (wavelet → quantize → gzip) at one thread — the number the PR-5
-//! kernel rewrite targets against the BENCH_parallel.json baseline.
+//! (wavelet → quantize → gzip) at one thread. The `formatted` row is
+//! gzip Default over what the checkpoint path actually deflates: the
+//! four NICAM arrays formatted by `Compressor` with `Container::None`.
 //! Writes `BENCH_deflate.json` (median-of-5, MB/s per stage and level,
-//! host metadata).
+//! and the host fingerprint: cores, SIMD tier, CPU model).
 //!
 //! Run with `cargo run --release -p ckpt-bench --bin deflate_throughput`.
 //! Pass an output path as the first argument to write elsewhere.
@@ -15,8 +16,8 @@
 //! level, assert Level::Default compress throughput clears a
 //! conservative floor, and exit non-zero on any miss (no JSON output).
 
-use ckpt_bench::{median_time, ms, raw_bytes, temperature_nicam};
-use ckpt_core::{Compressor, CompressorConfig};
+use ckpt_bench::{all_nicam_arrays, median_time, ms, raw_bytes, temperature_nicam};
+use ckpt_core::{Compressor, CompressorConfig, Container};
 use ckpt_deflate::{adler32::adler32, crc32::crc32, gzip, Level};
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -128,6 +129,51 @@ fn main() {
         packed.bytes.len()
     );
 
+    // The checkpoint path's own deflate input: the four arrays'
+    // formatted streams, each one gzip member.
+    let formatter = Compressor::new(
+        CompressorConfig::paper_proposed().with_threads(1).with_container(Container::None),
+    )
+    .unwrap();
+    let formatted: Vec<Vec<u8>> = all_nicam_arrays()
+        .iter()
+        .map(|(_, t)| formatter.compress(t).unwrap().bytes)
+        .collect();
+    let fmt_in: usize = formatted.iter().map(Vec::len).sum();
+    let fmt_packed: Vec<Vec<u8>> =
+        formatted.iter().map(|f| gzip::compress(f, Level::Default)).collect();
+    let fmt_out: usize = fmt_packed.iter().map(Vec::len).sum();
+    for (p, f) in fmt_packed.iter().zip(&formatted) {
+        assert_eq!(&gzip::decompress(p).unwrap(), f, "formatted roundtrip");
+    }
+    let fmt_c = median_time(RUNS, || {
+        for f in &formatted {
+            std::hint::black_box(gzip::compress(f, Level::Default));
+        }
+    });
+    let fmt_d = median_time(RUNS, || {
+        for p in &fmt_packed {
+            std::hint::black_box(gzip::decompress(p).unwrap());
+        }
+    });
+    println!(
+        "formatted (4 arrays, default): {fmt_in} -> {fmt_out} bytes, \
+         compress {} ms, decompress {} ms",
+        ms(fmt_c),
+        ms(fmt_d)
+    );
+
+    let simd = ckpt_simd::dispatch::level().name();
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, m)| m.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| "unknown".into());
+
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"deflate_throughput\",");
@@ -135,6 +181,10 @@ fn main() {
     let _ = writeln!(json, "  \"input_bytes\": {},", raw.len());
     let _ = writeln!(json, "  \"runs\": {RUNS},");
     let _ = writeln!(json, "  \"host_cores\": {cores},");
+    let _ = writeln!(
+        json,
+        "  \"host\": {{\"cores\": {cores}, \"simd\": \"{simd}\", \"cpu_model\": \"{cpu_model}\"}},"
+    );
     json.push_str("  \"levels\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
@@ -160,10 +210,18 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"pipeline\": {{\"threads\": 1, \"compress_ms\": {:.3}, \"decompress_ms\": {:.3}, \
-         \"compressed_bytes\": {}}}",
+         \"compressed_bytes\": {}}},",
         pipe_c.as_secs_f64() * 1e3,
         pipe_d.as_secs_f64() * 1e3,
         packed.bytes.len()
+    );
+    let _ = writeln!(
+        json,
+        "  \"formatted\": {{\"arrays\": {}, \"level\": \"default\", \"input_bytes\": {fmt_in}, \
+         \"compressed_bytes\": {fmt_out}, \"compress_ms\": {:.3}, \"decompress_ms\": {:.3}}}",
+        formatted.len(),
+        fmt_c.as_secs_f64() * 1e3,
+        fmt_d.as_secs_f64() * 1e3
     );
     json.push_str("}\n");
 

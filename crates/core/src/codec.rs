@@ -320,9 +320,10 @@ fn apply_container(
     match cfg.container {
         Container::None => Ok(formatted),
         Container::Zlib => Ok(timed(&mut timings.gzip, || zlib::compress(&formatted, level))),
-        // With one thread the original single-member gzip path runs,
-        // keeping the output byte-identical to earlier versions. With
-        // more, the chunked multi-member container both compresses and
+        // With one thread a single gzip member is written, which any
+        // gzip reader decodes; its exact bytes follow the deflate
+        // encoder and are not a format guarantee. With more, the
+        // chunked multi-member container both compresses and
         // decompresses in parallel.
         Container::Gzip if cfg.threads > 1 => Ok(timed(&mut timings.gzip, || {
             chunked::compress_chunked(&formatted, level, cfg.chunk_bytes, cfg.threads)

@@ -4,9 +4,10 @@
 //! code*, which callers handle by reversing code bits before writing.
 //!
 //! Both ends run on a 64-bit accumulator. The writer drains whole bytes
-//! with a single `extend_from_slice` of the accumulator's little-endian
-//! image per call; the reader refills with one unaligned 8-byte load
-//! and branch-free arithmetic whenever at least 8 input bytes remain.
+//! by appending the accumulator's full 8-byte little-endian image and
+//! truncating to the complete bytes, one fixed-width store per call;
+//! the reader refills with one unaligned 8-byte load and branch-free
+//! arithmetic whenever at least 8 input bytes remain.
 
 use crate::DeflateError;
 
@@ -37,11 +38,15 @@ impl BitWriter {
         debug_assert!(count == 64 || bits < (1u64 << count), "extraneous high bits");
         self.acc |= bits << self.nbits;
         self.nbits += count;
-        // Flush every complete byte in one shot. `nbits` stays < 8
-        // between calls, so `nbits + count <= 63` and the shift below
-        // is always in range.
+        // Flush every complete byte in one shot: append all eight
+        // accumulator bytes (a fixed-size copy, no length-dependent
+        // memcpy), then drop the ones not yet complete. `nbits` stays
+        // < 8 between calls, so `nbits + count <= 63` and the shift
+        // below is always in range.
         let bytes = (self.nbits / 8) as usize;
-        self.out.extend_from_slice(&self.acc.to_le_bytes()[..bytes]);
+        let keep = self.out.len() + bytes;
+        self.out.extend_from_slice(&self.acc.to_le_bytes());
+        self.out.truncate(keep);
         self.acc >>= bytes * 8;
         self.nbits &= 7;
     }
@@ -405,5 +410,80 @@ mod tests {
         assert_eq!(w.bit_len(), 3);
         w.write_bits(0, 13);
         assert_eq!(w.bit_len(), 16);
+    }
+}
+
+#[cfg(test)]
+mod writer_equivalence {
+    // The proptest shim's ProptestConfig has only the fields we set.
+    #![allow(clippy::needless_update)]
+
+    use super::*;
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
+
+    /// Bit-at-a-time reference writer: each bit goes into the current
+    /// byte, LSB first, and a new byte starts every eighth bit.
+    #[derive(Default)]
+    struct RefWriter {
+        out: Vec<u8>,
+        bit: u32,
+    }
+
+    impl RefWriter {
+        fn write_bits(&mut self, bits: u64, count: u32) {
+            for k in 0..count {
+                if self.bit == 0 {
+                    self.out.push(0);
+                }
+                if let Some(last) = self.out.last_mut() {
+                    *last |= (((bits >> k) & 1) as u8) << self.bit;
+                }
+                self.bit = (self.bit + 1) % 8;
+            }
+        }
+
+        fn align_byte(&mut self) {
+            self.bit = 0;
+        }
+
+        fn write_bytes(&mut self, bytes: &[u8]) {
+            assert_eq!(self.bit, 0);
+            self.out.extend_from_slice(bytes);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        // Random (bits, count) writes, every count from 0 to 56, mixed
+        // with byte alignment and aligned byte runs.
+        #[test]
+        fn writer_matches_bit_at_a_time_reference(
+            ops in pvec((any::<u64>(), 0u32..=56, 0u8..16, pvec(any::<u8>(), 0..5)), 0..400),
+        ) {
+            let mut w = BitWriter::new();
+            let mut r = RefWriter::default();
+            for (bits, count, action, bytes) in &ops {
+                let bits = if *count == 0 { 0 } else { bits >> (64 - count) };
+                w.write_bits(bits, *count);
+                r.write_bits(bits, *count);
+                prop_assert_eq!(w.bit_len(), r.out.len() * 8 - ((8 - r.bit as usize) % 8));
+                match action {
+                    0 => {
+                        w.align_byte();
+                        r.align_byte();
+                    }
+                    1 => {
+                        w.align_byte();
+                        r.align_byte();
+                        w.write_bytes(bytes);
+                        r.write_bytes(bytes);
+                    }
+                    _ => {}
+                }
+            }
+            prop_assert_eq!(w.finish(), r.out);
+        }
     }
 }

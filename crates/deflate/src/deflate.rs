@@ -9,13 +9,18 @@
 //! chunk at the 65 535-byte limit). Per-segment Huffman tables matter
 //! for checkpoint streams, whose sections have very different
 //! statistics (f64 low band, then one-byte quantizer indexes, then a
-//! bitmap).
+//! bitmap). Besides every [`SEGMENT_BYTES`], a segment also ends where
+//! the LZ77 entropy gate switches between skimmed and matched windows
+//! (see [`crate::lz77::tokenize_into`]), so those sections do not share
+//! a table.
 //!
 //! Length and distance symbols resolve through precomputed tables
 //! (`LEN_CODE`, `DIST_SYM_LO`/`DIST_SYM_HI`) instead of per-token
 //! linear scans, and a match emits its four fields (length code, length
 //! extra, distance code, distance extra — at most 48 bits) with a
-//! single accumulator write.
+//! single accumulator write. The fixed-Huffman encoders are built once
+//! per process, and block planning costs a segment by its trimmed code
+//! tables directly, with no padded copies.
 
 use crate::bitio::BitWriter;
 use crate::huffman::{code_lengths, Encoder};
@@ -145,20 +150,37 @@ pub fn dist_symbol(dist: u16) -> (usize, u8, u16) {
 }
 
 /// The fixed literal/length code lengths (RFC 1951 §3.2.6).
-pub fn fixed_litlen_lengths() -> Vec<u8> {
-    let mut lens = vec![8u8; 288];
-    for l in lens.iter_mut().take(256).skip(144) {
-        *l = 9;
-    }
-    for l in lens.iter_mut().take(280).skip(256) {
-        *l = 7;
+const FIXED_LITLEN_LENGTHS: [u8; 288] = {
+    let mut lens = [8u8; 288];
+    let mut s = 144;
+    while s < 280 {
+        lens[s] = if s < 256 { 9 } else { 7 };
+        s += 1;
     }
     lens
+};
+
+/// The fixed distance code lengths: thirty-two 5-bit codes.
+const FIXED_DIST_LENGTHS: [u8; 32] = [5; 32];
+
+/// The fixed literal/length code lengths (RFC 1951 §3.2.6).
+pub fn fixed_litlen_lengths() -> Vec<u8> {
+    FIXED_LITLEN_LENGTHS.to_vec()
 }
 
 /// The fixed distance code lengths: thirty-two 5-bit codes.
 pub fn fixed_dist_lengths() -> Vec<u8> {
-    vec![5u8; 32]
+    FIXED_DIST_LENGTHS.to_vec()
+}
+
+/// The fixed-Huffman literal/length and distance encoders, built on
+/// first use and shared by every block after it.
+fn fixed_encoders() -> &'static (Encoder, Encoder) {
+    use std::sync::OnceLock;
+    static FIXED: OnceLock<(Encoder, Encoder)> = OnceLock::new();
+    FIXED.get_or_init(|| {
+        (Encoder::from_lengths(&FIXED_LITLEN_LENGTHS), Encoder::from_lengths(&FIXED_DIST_LENGTHS))
+    })
 }
 
 /// Packed token: literals are the byte value; matches set bit 31 and
@@ -320,22 +342,19 @@ fn write_dynamic_block(w: &mut BitWriter, plan: &DynamicPlan, tokens: &[u32], bf
             w.write_bits(val as u64, extra as u32);
         }
     }
-    // Pad the tables so the encoder can index any symbol.
-    let mut lit_lens = plan.lit_lens.clone();
-    lit_lens.resize(NUM_LITLEN, 0);
-    let mut dist_lens = plan.dist_lens.clone();
-    dist_lens.resize(NUM_DIST, 0);
-    let lit = Encoder::from_lengths(&lit_lens);
-    let dist = Encoder::from_lengths(&dist_lens);
+    // The trimmed tables drop only trailing absent symbols, which no
+    // token uses, and canonical codes ignore absent symbols, so the
+    // encoders need no padding.
+    let lit = Encoder::from_lengths(&plan.lit_lens);
+    let dist = Encoder::from_lengths(&plan.dist_lens);
     write_body(w, tokens, &lit, &dist);
 }
 
 fn write_fixed_block(w: &mut BitWriter, tokens: &[u32], bfinal: bool) {
     w.write_bits(bfinal as u64, 1);
     w.write_bits(0b01, 2);
-    let lit = Encoder::from_lengths(&fixed_litlen_lengths());
-    let dist = Encoder::from_lengths(&fixed_dist_lengths());
-    write_body(w, tokens, &lit, &dist);
+    let (lit, dist) = fixed_encoders();
+    write_body(w, tokens, lit, dist);
 }
 
 /// Writes `data` as stored blocks (chunked at 65 535 bytes); the last
@@ -409,25 +428,22 @@ impl<'a> SegmentEncoder<'a> {
         self.lit_freq[END_OF_BLOCK] += 1;
         let src = &self.data[self.seg_start..self.seg_start + self.covered];
         let plan = plan_dynamic(&self.lit_freq, &self.dist_freq);
-        let mut lit_padded = plan.lit_lens.clone();
-        lit_padded.resize(NUM_LITLEN, 0);
-        let mut dist_padded = plan.dist_lens.clone();
-        dist_padded.resize(NUM_DIST, 0);
+        // The trimmed tables cover every symbol with a nonzero count.
         let dynamic_cost = 3
             + plan.header_bits as u64
             + body_cost_from_freqs(
                 &self.lit_freq,
                 &self.dist_freq,
                 self.extra_bits,
-                &lit_padded,
-                &dist_padded,
+                &plan.lit_lens,
+                &plan.dist_lens,
             );
         let fixed_cost = 3 + body_cost_from_freqs(
             &self.lit_freq,
             &self.dist_freq,
             self.extra_bits,
-            &fixed_litlen_lengths(),
-            &fixed_dist_lengths(),
+            &FIXED_LITLEN_LENGTHS,
+            &FIXED_DIST_LENGTHS,
         );
         let stored_cost = (src.chunks(65_535).count().max(1) * (3 + 32) + src.len() * 8 + 7) as u64;
 
@@ -446,6 +462,15 @@ impl<'a> SegmentEncoder<'a> {
         self.lit_freq = [0; NUM_LITLEN];
         self.dist_freq = [0; NUM_DIST];
         self.extra_bits = 0;
+    }
+
+    /// Ends the current block before the next token: called where the
+    /// LZ77 gate switches between skimmed windows and matcher windows,
+    /// whose byte statistics differ too much to share a Huffman table.
+    fn cut(&mut self) {
+        if self.covered > 0 {
+            self.boundary = true;
+        }
     }
 
     fn finish(mut self) -> Vec<u8> {
@@ -516,7 +541,7 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
         return w.finish();
     }
     let mut enc = SegmentEncoder::new(data);
-    lz77::tokenize_into(data, level, &mut enc);
+    lz77::tokenize_gated(data, level, &mut enc, SegmentEncoder::cut);
     enc.finish()
 }
 

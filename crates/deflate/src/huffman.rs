@@ -24,63 +24,134 @@ pub const MAX_BITS: u32 = 15;
 /// frequency get length 0 (absent). A single active symbol gets length 1
 /// (DEFLATE cannot express 0-bit codes). Panics if the number of active
 /// symbols exceeds `2^max_len` (impossible for DEFLATE alphabets).
+///
+/// Count-only ("boundary") form: each level's list keeps just its item
+/// weights and whether each item is a leaf or a package, never the
+/// leaves under a package. The optimal code selects the first `2m - 2`
+/// items of the last level; the packages among them are the first
+/// items of the level below, which selects twice as many, and so on
+/// down. Leaves enter every level in weight order, so a level whose
+/// selected prefix holds `k` leaves lengthens the code of each of the
+/// `k` lightest symbols by one bit. Ties merge packages before leaves,
+/// which keeps the lengths identical to the list-based construction
+/// (kept as the test reference) and so the bytes of every block.
 pub fn code_lengths(freqs: &[u64], max_len: u32) -> Vec<u8> {
-    let active: Vec<usize> = (0..freqs.len()).filter(|&s| freqs[s] > 0).collect();
     let mut lengths = vec![0u8; freqs.len()];
-    match active.len() {
+    // Active symbols, lightest first; the stable sort breaks weight ties
+    // by symbol index.
+    let mut order: Vec<usize> = (0..freqs.len()).filter(|&s| freqs[s] > 0).collect();
+    let m = order.len();
+    match m {
         0 => return lengths,
         1 => {
-            lengths[active[0]] = 1;
+            lengths[order[0]] = 1;
             return lengths;
         }
-        m => assert!(m as u64 <= 1u64 << max_len, "alphabet too large for length limit"),
+        _ => assert!(m as u64 <= 1u64 << max_len, "alphabet too large for length limit"),
     }
+    order.sort_by_key(|&s| freqs[s]);
+    let leaves: Vec<u64> = order.iter().map(|&s| freqs[s]).collect();
 
-    // Package-merge. A node is either a leaf (one symbol) or a package of
-    // two lower-level nodes; we only need, per node, the *count of leaves
-    // per symbol*, which we store as a flat index list (small alphabets).
-    #[derive(Clone)]
-    struct Node {
-        weight: u64,
-        /// Indexes into `active` of the leaves under this node.
-        leaves: Vec<u32>,
-    }
-
-    let mut leaves: Vec<Node> = active
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| Node { weight: freqs[s], leaves: vec![i as u32] })
-        .collect();
-    leaves.sort_by_key(|n| n.weight);
-
-    let mut list = leaves.clone();
-    for _ in 1..max_len {
-        // Package adjacent pairs of the previous list...
-        let mut packages: Vec<Node> = list
-            .chunks_exact(2)
-            .map(|pair| {
-                let mut leaves_union = pair[0].leaves.clone();
-                leaves_union.extend_from_slice(&pair[1].leaves);
-                Node { weight: pair[0].weight + pair[1].weight, leaves: leaves_union }
-            })
-            .collect();
-        // ...and merge with the original leaves.
-        packages.extend(leaves.iter().cloned());
-        packages.sort_by_key(|n| n.weight);
-        list = packages;
-    }
-
-    // The optimal solution selects the first 2m-2 nodes of the final
-    // list; each time a symbol's leaf appears, its code length grows by
-    // one.
-    let take = 2 * active.len() - 2;
-    for node in &list[..take] {
-        for &leaf in &node.leaves {
-            lengths[active[leaf as usize]] += 1;
+    // Forward pass. Level 1 is the leaves alone; each higher level
+    // merges the pairwise packages of the level below with the leaves.
+    // `is_leaf` holds every level's item kinds back to back, starting
+    // at `level_start[level]`.
+    let levels = max_len.max(1) as usize;
+    // Every level above the first holds at most 2m - 1 items.
+    let mut is_leaf = vec![true; levels * (2 * m)];
+    let mut level_start = Vec::with_capacity(levels);
+    let mut list = vec![0u64; 2 * m];
+    let mut next = vec![0u64; 2 * m];
+    list[..m].copy_from_slice(&leaves);
+    let mut len = m;
+    level_start.push(0);
+    let mut at = m;
+    while level_start.len() < levels {
+        level_start.push(at);
+        let packages = len / 2;
+        let (mut p, mut l, mut o) = (0usize, 0usize, 0usize);
+        // Branch-free select while both sources last; ties take the
+        // package.
+        while p < packages && l < m {
+            let w = list[2 * p] + list[2 * p + 1];
+            let leaf = leaves[l];
+            let package = w <= leaf;
+            next[o] = if package { w } else { leaf };
+            is_leaf[at + o] = !package;
+            p += usize::from(package);
+            l += usize::from(!package);
+            o += 1;
         }
+        for q in p..packages {
+            next[o] = list[2 * q] + list[2 * q + 1];
+            is_leaf[at + o] = false;
+            o += 1;
+        }
+        let rest = m - l;
+        next[o..o + rest].copy_from_slice(&leaves[l..]);
+        o += rest;
+        at += o;
+        std::mem::swap(&mut list, &mut next);
+        len = o;
     }
+
+    // Backward pass: walk the selected prefix down from the top level.
+    let mut take = 2 * m - 2;
+    for level in (0..levels).rev() {
+        let kinds = &is_leaf[level_start[level]..];
+        let leaf_count = kinds[..take].iter().filter(|&&leaf| leaf).count();
+        for &s in &order[..leaf_count] {
+            lengths[s] += 1;
+        }
+        take = 2 * (take - leaf_count);
+    }
+    debug_assert_eq!(take, 0, "level 1 holds leaves only");
     debug_assert!(lengths.iter().all(|&l| l as u32 <= max_len));
     lengths
+}
+
+/// Total bits of coding a byte histogram with an optimal Huffman code
+/// of unlimited length: the sum of the internal node weights of the
+/// Huffman tree, built with two queues over the sorted counts (merged
+/// nodes come out in nondecreasing order, so no heap is needed). Only
+/// the cost is computed, which is the same for every optimal tree, so
+/// no tie rule matters. One present symbol costs one bit per byte, as
+/// [`code_lengths`] gives it a 1-bit code. The LZ77 gate calls this for
+/// every 4 KiB window, where the length-limited package-merge would
+/// cost several times as much for a total that differs only when the
+/// 15-bit limit binds, which takes a window far too skewed to come near
+/// the gate's threshold.
+pub(crate) fn byte_huffman_cost(hist: &[u64; 256]) -> u64 {
+    let mut leaves = [0u64; 256];
+    let mut n = 0usize;
+    for &f in hist.iter().filter(|&&f| f > 0) {
+        leaves[n] = f;
+        n += 1;
+    }
+    let leaves = &mut leaves[..n];
+    leaves.sort_unstable();
+    if n == 1 {
+        return leaves[0];
+    }
+    let mut merged = [0u64; 256];
+    let (mut l, mut q, mut made) = (0usize, 0usize, 0usize);
+    let mut cost = 0u64;
+    for _ in 1..n {
+        let mut pick = || {
+            if q < made && (l == n || merged[q] < leaves[l]) {
+                q += 1;
+                merged[q - 1]
+            } else {
+                l += 1;
+                leaves[l - 1]
+            }
+        };
+        let w = pick() + pick();
+        merged[made] = w;
+        made += 1;
+        cost += w;
+    }
+    cost
 }
 
 /// Assigns canonical codes (RFC 1951 §3.2.2) for the given lengths.
@@ -540,5 +611,191 @@ mod fast_path_tests {
         let dec = Decoder::from_lengths(&lens).unwrap();
         let mut r = BitReader::new(&bytes[..1]);
         assert!(dec.read(&mut r).is_err());
+    }
+}
+
+#[cfg(test)]
+mod package_merge_equivalence {
+    // The proptest shim's ProptestConfig has only the fields we set.
+    #![allow(clippy::needless_update)]
+
+    use super::*;
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    /// The list-based package-merge [`code_lengths`] replaced: every
+    /// node carries the leaves under it, and a symbol's length is the
+    /// number of times its leaf occurs among the first `2m - 2` nodes of
+    /// the last list. Kept as the reference the count-only form must
+    /// match exactly.
+    fn code_lengths_by_lists(freqs: &[u64], max_len: u32) -> Vec<u8> {
+        let active: Vec<usize> = (0..freqs.len()).filter(|&s| freqs[s] > 0).collect();
+        let mut lengths = vec![0u8; freqs.len()];
+        match active.len() {
+            0 => return lengths,
+            1 => {
+                lengths[active[0]] = 1;
+                return lengths;
+            }
+            m => assert!(m as u64 <= 1u64 << max_len, "alphabet too large for length limit"),
+        }
+
+        #[derive(Clone)]
+        struct Node {
+            weight: u64,
+            leaves: Vec<u32>,
+        }
+
+        let mut leaves: Vec<Node> = active
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| Node { weight: freqs[s], leaves: vec![i as u32] })
+            .collect();
+        leaves.sort_by_key(|n| n.weight);
+
+        let mut list = leaves.clone();
+        for _ in 1..max_len {
+            let mut packages: Vec<Node> = list
+                .chunks_exact(2)
+                .map(|pair| {
+                    let mut leaves_union = pair[0].leaves.clone();
+                    leaves_union.extend_from_slice(&pair[1].leaves);
+                    Node { weight: pair[0].weight + pair[1].weight, leaves: leaves_union }
+                })
+                .collect();
+            packages.extend(leaves.iter().cloned());
+            packages.sort_by_key(|n| n.weight);
+            list = packages;
+        }
+
+        let take = 2 * active.len() - 2;
+        for node in &list[..take] {
+            for &leaf in &node.leaves {
+                lengths[active[leaf as usize]] += 1;
+            }
+        }
+        lengths
+    }
+
+    /// Weights from raw draws: a draw below `zero_below` makes the
+    /// symbol absent, the rest scale into `1..=max_weight`.
+    fn weights(draws: &[u32], zero_below: u32, max_weight: u64) -> Vec<u64> {
+        draws
+            .iter()
+            .map(|&d| if d < zero_below { 0 } else { 1 + u64::from(d) % max_weight })
+            .collect()
+    }
+
+    fn assert_same(freqs: &[u64], max_len: u32) -> Result<(), TestCaseError> {
+        let fast = code_lengths(freqs, max_len);
+        let reference = code_lengths_by_lists(freqs, max_len);
+        prop_assert_eq!(&fast, &reference, "freqs {:?} limit {}", freqs, max_len);
+        Ok(())
+    }
+
+    #[test]
+    fn byte_huffman_cost_matches_package_merge_when_the_limit_does_not_bind() {
+        let mut state = 7u64;
+        for case in 0..400u64 {
+            let mut hist = [0u64; 256];
+            let present = 1 + (case as usize * 37) % 256;
+            for f in hist.iter_mut().take(present) {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                *f = (state >> 33) % (1 + case * 10);
+            }
+            if hist.iter().all(|&f| f == 0) {
+                continue;
+            }
+            let lens = code_lengths(&hist, 32);
+            let cost: u64 = hist.iter().zip(&lens).map(|(&f, &l)| f * u64::from(l)).sum();
+            assert_eq!(byte_huffman_cost(&hist), cost, "case {case}");
+        }
+    }
+
+    #[test]
+    fn fixed_edge_cases_match_reference() {
+        let cases: Vec<(Vec<u64>, u32)> = vec![
+            (vec![], 15),
+            (vec![0; 19], 7),
+            (vec![0, 0, 9, 0], 7),
+            (vec![3, 0, 0, 5], 7),
+            (vec![1, 1], 15),
+            (vec![7; 19], 7),
+            (vec![7; 286], 15),
+            (vec![1; 128], 7),
+            ((0..19).map(|k| 1u64 << k).collect(), 7),
+            ((0..286).map(|k| 1u64 << (k % 40)).collect(), 15),
+            ((0..286).map(|k| 1u64 << (k / 8)).collect(), 15),
+        ];
+        for (freqs, limit) in cases {
+            assert_eq!(
+                code_lengths(&freqs, limit),
+                code_lengths_by_lists(&freqs, limit),
+                "freqs {freqs:?} limit {limit}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        // Code-length alphabets: 19 symbols, 7-bit limit.
+        #[test]
+        fn count_only_matches_lists_on_code_length_alphabets(
+            draws in pvec(any::<u32>(), 19),
+            zero_below in 0u32..u32::MAX,
+            max_weight in 1u64..5000,
+        ) {
+            assert_same(&weights(&draws, zero_below, max_weight), 7)?;
+        }
+
+        // Literal/length alphabets: 286 symbols, 15-bit limit, with
+        // small weight ranges so ties are common.
+        #[test]
+        fn count_only_matches_lists_on_litlen_alphabets(
+            draws in pvec(any::<u32>(), 286),
+            zero_below in 0u32..u32::MAX,
+            max_weight in 1u64..64,
+        ) {
+            assert_same(&weights(&draws, zero_below, max_weight), 15)?;
+        }
+
+        // One or two active symbols anywhere in the alphabet.
+        #[test]
+        fn count_only_matches_lists_on_tiny_alphabets(
+            n in 1usize..300,
+            a in any::<usize>(),
+            b in any::<usize>(),
+            wa in 1u64..1000,
+            wb in 0u64..1000,
+        ) {
+            let mut freqs = vec![0u64; n];
+            freqs[a % n] = wa;
+            freqs[b % n] += wb;
+            assert_same(&freqs, 15)?;
+            assert_same(&freqs, 7)?;
+        }
+
+        // Power-of-two skews: unlimited Huffman depth would exceed the
+        // limit, so the limit binds.
+        #[test]
+        fn count_only_matches_lists_on_power_of_two_skews(
+            exps in pvec(0u32..48, 2..287),
+            limit_pick in any::<bool>(),
+        ) {
+            let limit = if limit_pick || exps.len() > 128 { 15 } else { 7 };
+            let freqs: Vec<u64> = exps.iter().map(|&e| 1u64 << e).collect();
+            assert_same(&freqs, limit)?;
+        }
+
+        // All-equal weights over every alphabet size up to 286.
+        #[test]
+        fn count_only_matches_lists_on_equal_weights(
+            n in 2usize..287,
+            w in 1u64..1_000_000,
+        ) {
+            assert_same(&vec![w; n], 15)?;
+        }
     }
 }

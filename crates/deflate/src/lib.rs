@@ -10,8 +10,10 @@
 //!
 //! * [`bitio`] — LSB-first bit streams (DEFLATE's bit order),
 //! * [`huffman`] — canonical, length-limited Huffman codes
-//!   (package-merge construction) and a table-free decoder,
+//!   (count-only package-merge construction) and a table-driven decoder,
 //! * [`lz77`] — hash-chain match finder producing literal/match tokens,
+//!   behind an entropy gate that skips the search in near-incompressible
+//!   windows,
 //! * [`deflate`] — block encoder (stored, fixed and dynamic blocks, with
 //!   per-block cost selection),
 //! * [`inflate`] — decoder for all block types,

@@ -14,7 +14,12 @@
 //! * tokens stream into a [`TokenSink`] (the DEFLATE encoder feeds them
 //!   straight into Huffman coding) instead of materializing a
 //!   `Vec<Token>` for the whole input.
+//! * an entropy gate skips the search where it cannot pay: 4 KiB
+//!   windows whose order-0 literal cost is at least 6.5 bits per byte
+//!   (f64 mantissas) bypass the hash chains and are only skimmed for
+//!   long repeats through a sparse table of their own.
 
+use crate::huffman::byte_huffman_cost;
 use crate::Level;
 
 /// Minimum back-reference length DEFLATE can encode.
@@ -239,83 +244,274 @@ impl Chains {
     }
 }
 
+/// Bytes per gate window. [`tokenize_into`] splits its input into
+/// windows of this size aligned to the input's first byte (the last
+/// window may be shorter) and decides per window whether to run the
+/// hash-chain matcher or only skim for long repeats. Small enough to
+/// follow the sections of a checkpoint stream closely, large enough
+/// that a window's byte histogram is a stable estimate of its order-0
+/// cost.
+const GATE_WINDOW: usize = 4 * 1024;
+
+/// Gate threshold in half bits per byte: 13 is 6.5 bits. A window whose
+/// bytes, coded as literals under their own optimal Huffman code, cost
+/// at least this much skips the hash-chain matcher (see
+/// [`Matcher::skim_to`]). Windows of IEEE-754 f64 bytes cost about
+/// 7.1–7.7 bits per byte and the matcher finds only 3–5 byte
+/// coincidences in them; quantizer-index windows near the threshold
+/// code about as small as literals under a block table of their own.
+/// Bitmaps and most index windows cost 1–6 bits and keep the full
+/// matcher.
+const GATE_HALF_BITS_PER_BYTE: u64 = 13;
+
+/// Period of the positions a gated window indexes in the skim table.
+const SKIM_INSERT: usize = 16;
+/// Period of the positions a gated window looks up; coprime with
+/// [`SKIM_INSERT`].
+const SKIM_STRIDE: usize = 17;
+/// Shortest match a gated-window lookup accepts. Long enough that
+/// coincidences between unrelated f64 values do not qualify, so what is
+/// found is a true repeat.
+const SKIM_MIN_MATCH: usize = 16;
+/// The skim table has `2^SKIM_HASH_BITS` single-position slots.
+const SKIM_HASH_BITS: u32 = 14;
+
+/// Hashes the 4 bytes at `pos` into the skim table (caller guarantees
+/// `pos + 4 <= len`).
+#[inline(always)]
+fn hash4(data: &[u8], pos: usize) -> usize {
+    let v = u32::from_le_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]]);
+    (v.wrapping_mul(0x9E37_79B1) >> (32 - SKIM_HASH_BITS)) as usize
+}
+
+/// Whether `window` is near-incompressible: its literal-only Huffman
+/// cost reaches [`GATE_HALF_BITS_PER_BYTE`]. Integer-only, so the
+/// decision is a function of the bytes alone and never of the host's
+/// floating point or libm.
+fn near_incompressible(window: &[u8]) -> bool {
+    let mut hist = [0u64; 256];
+    for &b in window {
+        hist[usize::from(b)] += 1;
+    }
+    2 * byte_huffman_cost(&hist) >= GATE_HALF_BITS_PER_BYTE * window.len() as u64
+}
+
 /// Streams the token stream for `data` at the given level into `sink`.
 /// [`Level::Store`] yields all literals (the caller normally
 /// special-cases it into stored blocks).
+///
+/// Windows of near-incompressible bytes (see `near_incompressible`)
+/// are skimmed for long repeats only, without touching the hash chains;
+/// every other window runs the hash-chain matcher, whose state carries
+/// across consecutive matcher windows, so an input with no gated window
+/// tokenizes exactly as one uninterrupted matcher pass.
 pub fn tokenize_into<S: TokenSink>(data: &[u8], level: Level, sink: &mut S) {
+    tokenize_gated(data, level, sink, |_| {});
+}
+
+/// [`tokenize_into`], calling `on_switch(sink)` wherever the gate
+/// changes mode. Every token before the call belongs to the old mode,
+/// every token after it to the new one, so the DEFLATE encoder can end
+/// the block there and give each side its own Huffman table.
+pub(crate) fn tokenize_gated<S: TokenSink>(
+    data: &[u8],
+    level: Level,
+    sink: &mut S,
+    mut on_switch: impl FnMut(&mut S),
+) {
     let Some(effort) = Effort::for_level(level) else {
         sink.literals(data);
         return;
     };
-    // Positions are stored +1 in u32 chains.
-    assert!(data.len() < u32::MAX as usize, "input too large for u32 hash chains");
-    let n = data.len();
-    // Positions below this bound have a full 3-byte hash.
-    let hash_end = n.saturating_sub(MIN_MATCH - 1);
-    let mut chains = Chains::new();
-    let mut i = 0usize;
-    // Start of the literal run not yet handed to the sink — literals
-    // batch into one `literals` call per run instead of one call per
-    // byte.
-    let mut lit_start = 0usize;
-    // Match found at position i by last iteration's lazy probe (i is
-    // already inserted in the chains).
-    let mut pending: Option<(u32, u32)> = None;
-    while i < n {
-        let found = match pending.take() {
-            Some(m) => Some(m),
-            None if i < hash_end => {
-                let first = chains.insert(hash3(data, i), i);
-                chains.longest_from(data, i, first, &effort, effort.max_chain, MIN_MATCH - 1)
-            }
-            None => None,
-        };
-        let Some((len, dist)) = found else {
-            i += 1;
-            continue;
-        };
-        // Lazy evaluation: if the next position matches longer, defer
-        // (position i joins the literal run). The probe inserts i+1 (it
-        // gets inserted exactly once either way) and its result is
-        // reused as the next iteration's match — the old implementation
-        // searched every deferred position twice.
-        let mut probed = false;
-        if effort.lazy && (len as usize) < effort.max_lazy && i + 1 < hash_end {
-            let first = chains.insert(hash3(data, i + 1), i + 1);
-            probed = true;
-            // A match that is already good only merits a quarter of the
-            // chain budget on the probe.
-            let budget = if (len as usize) >= effort.good_length {
-                effort.max_chain >> 2
-            } else {
-                effort.max_chain
-            };
-            // Seeding with the pending length means the probe can only
-            // return a strictly longer match.
-            if let Some((len2, dist2)) =
-                chains.longest_from(data, i + 1, first, &effort, budget, len as usize)
-            {
-                i += 1;
-                pending = Some((len2, dist2));
-                continue;
-            }
+    let mut m = Matcher::new(data, effort);
+    let mut skimming = false;
+    for start in (0..data.len()).step_by(GATE_WINDOW) {
+        let end = (start + GATE_WINDOW).min(data.len());
+        let gated = near_incompressible(&data[start..end]);
+        if gated != skimming {
+            m.settle(sink);
+            on_switch(sink);
+            skimming = gated;
         }
-        if lit_start < i {
-            sink.literals(&data[lit_start..i]);
+        if gated {
+            m.skim_to(end, sink);
+        } else {
+            m.match_to(end, sink);
+        }
+    }
+    m.settle(sink);
+}
+
+/// Tokenizer state that persists across gate windows: the hash-chain
+/// matcher that [`Matcher::match_to`] advances, the skim table of
+/// [`Matcher::skim_to`], and the open literal run both extend.
+struct Matcher<'a> {
+    data: &'a [u8],
+    effort: Effort,
+    /// Positions below this bound have a full 3-byte hash.
+    hash_end: usize,
+    chains: Chains,
+    /// Skim table of gated windows: `skim[hash4] = position + 1` of the
+    /// latest indexed position, or 0.
+    skim: Box<[u32; 1 << SKIM_HASH_BITS]>,
+    /// Distance of the last skim match (0 before the first).
+    skim_dist: usize,
+    /// Next position to tokenize. A match may carry it past the end of
+    /// the window that started it.
+    i: usize,
+    /// Start of the literal run not yet handed to the sink — literals
+    /// batch into one `literals` call per run instead of one call per
+    /// byte.
+    lit_start: usize,
+    /// Match found at position i by the last lazy probe (i is already
+    /// inserted in the chains).
+    pending: Option<(u32, u32)>,
+}
+
+impl<'a> Matcher<'a> {
+    fn new(data: &'a [u8], effort: Effort) -> Self {
+        // Positions are stored +1 in u32 chains.
+        assert!(data.len() < u32::MAX as usize, "input too large for u32 hash chains");
+        Matcher {
+            data,
+            effort,
+            hash_end: data.len().saturating_sub(MIN_MATCH - 1),
+            chains: Chains::new(),
+            skim: vec![0u32; 1 << SKIM_HASH_BITS].into_boxed_slice().try_into().expect("sized"),
+            skim_dist: 0,
+            i: 0,
+            lit_start: 0,
+            pending: None,
+        }
+    }
+
+    /// Runs the matcher until the next position reaches `end`.
+    fn match_to<S: TokenSink>(&mut self, end: usize, sink: &mut S) {
+        let data = self.data;
+        let effort = self.effort;
+        let hash_end = self.hash_end;
+        while self.i < end {
+            let i = self.i;
+            let found = match self.pending.take() {
+                Some(m) => Some(m),
+                None if i < hash_end => {
+                    let first = self.chains.insert(hash3(data, i), i);
+                    let budget = effort.max_chain;
+                    self.chains.longest_from(data, i, first, &effort, budget, MIN_MATCH - 1)
+                }
+                None => None,
+            };
+            let Some((len, dist)) = found else {
+                self.i += 1;
+                continue;
+            };
+            // Lazy evaluation: if the next position matches longer,
+            // defer (position i joins the literal run). The probe
+            // inserts i+1 (it gets inserted exactly once either way) and
+            // its result is reused as the next iteration's match.
+            let mut probed = false;
+            if effort.lazy && (len as usize) < effort.max_lazy && i + 1 < hash_end {
+                let first = self.chains.insert(hash3(data, i + 1), i + 1);
+                probed = true;
+                // A match that is already good only merits a quarter of
+                // the chain budget on the probe.
+                let budget = if (len as usize) >= effort.good_length {
+                    effort.max_chain >> 2
+                } else {
+                    effort.max_chain
+                };
+                // Seeding with the pending length means the probe can
+                // only return a strictly longer match.
+                if let Some(m) =
+                    self.chains.longest_from(data, i + 1, first, &effort, budget, len as usize)
+                {
+                    self.i += 1;
+                    self.pending = Some(m);
+                    continue;
+                }
+            }
+            self.emit_match(len, dist, if probed { i + 2 } else { i + 1 }, sink);
+        }
+    }
+
+    /// Hands the sink the literal run before `i`, then the match at
+    /// `i`, and indexes the positions it covers from `index_from` on so
+    /// later matches can refer into this region (one masked u32 load
+    /// per position).
+    fn emit_match<S: TokenSink>(&mut self, len: u32, dist: u32, index_from: usize, sink: &mut S) {
+        let i = self.i;
+        if self.lit_start < i {
+            sink.literals(&self.data[self.lit_start..i]);
         }
         sink.backref(len, dist);
-        lit_start = i + len as usize;
-        // Index the skipped positions so later matches can refer into
-        // this region; the hash is one masked u32 load per position.
-        let start = if probed { i + 2 } else { i + 1 };
-        let end = (i + len as usize).min(hash_end);
-        for p in start..end {
-            chains.insert(hash3(data, p), p);
+        self.i = i + len as usize;
+        self.lit_start = self.i;
+        for p in index_from..self.i.min(self.hash_end) {
+            self.chains.insert(hash3(self.data, p), p);
         }
-        i += len as usize;
     }
-    if lit_start < n {
-        sink.literals(&data[lit_start..n]);
+
+    /// Emits everything tokenized so far: a match deferred by the lazy
+    /// probe is taken as it stands, then the open literal run.
+    fn settle<S: TokenSink>(&mut self, sink: &mut S) {
+        if let Some((len, dist)) = self.pending.take() {
+            self.emit_match(len, dist, self.i + 1, sink);
+        }
+        if self.lit_start < self.i {
+            sink.literals(&self.data[self.lit_start..self.i]);
+            self.lit_start = self.i;
+        }
+    }
+
+    /// Skims a gated window up to `end`. The hash chains are left
+    /// alone: no inserts, no chain walks, no lazy probes. Only a sparse
+    /// table of its own is kept — every [`SKIM_INSERT`]-th position of
+    /// the input is indexed in it, and every [`SKIM_STRIDE`]-th position
+    /// looks up its one candidate and accepts a match of at least
+    /// [`SKIM_MIN_MATCH`] bytes. The two periods are coprime, so
+    /// successive lookups meet every offset of the index grid and a
+    /// repeat of high-entropy bytes longer than
+    /// `SKIM_INSERT * SKIM_STRIDE + SKIM_MIN_MATCH` is found. A lookup
+    /// resumes right at the end of each match and tries that match's
+    /// distance first, so the rest of a long repeat follows match after
+    /// match. Callers settle first, so no deferred match is open.
+    fn skim_to<S: TokenSink>(&mut self, end: usize, sink: &mut S) {
+        debug_assert!(self.pending.is_none());
+        let data = self.data;
+        // Later positions cannot start a match of the minimum length.
+        let stop = end.min(data.len().saturating_sub(SKIM_MIN_MATCH - 1));
+        let mut next_lookup = self.i;
+        while self.i < stop {
+            let i = self.i;
+            let slot = hash4(data, i);
+            let cand = self.skim[slot];
+            if i.is_multiple_of(SKIM_INSERT) {
+                self.skim[slot] = i as u32 + 1;
+            }
+            if i >= next_lookup {
+                next_lookup = i + SKIM_STRIDE;
+                // The last match's distance first (a repeat usually
+                // runs on past 258 bytes), then the table's candidate.
+                let rep = i.checked_sub(self.skim_dist).filter(|_| self.skim_dist > 0);
+                let table = (cand as usize).checked_sub(1).filter(|&c| i - c <= WINDOW);
+                let max = MAX_MATCH.min(data.len() - i);
+                let found = [rep, table]
+                    .into_iter()
+                    .flatten()
+                    .filter(|&c| data[c..c + 8] == data[i..i + 8])
+                    .map(|c| (match_len(data, c, i, max), i - c))
+                    .find(|&(len, _)| len >= SKIM_MIN_MATCH);
+                if let Some((len, dist)) = found {
+                    self.skim_dist = dist;
+                    self.emit_match(len as u32, dist as u32, i + len, sink);
+                    next_lookup = self.i;
+                    continue;
+                }
+            }
+            // Jump to the next grid position or lookup, whichever is first.
+            self.i = next_lookup.min((i / SKIM_INSERT + 1) * SKIM_INSERT);
+        }
+        self.i = self.i.max(end);
     }
 }
 
@@ -529,5 +725,145 @@ mod tests {
         ];
         let out = resolve(&tokens);
         assert_eq!(out, vec![1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 1, 2, 3, 1]);
+    }
+}
+
+#[cfg(test)]
+mod gate_tests {
+    use super::*;
+
+    fn noise(n: usize, mut state: u64) -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 33) as u8
+            })
+            .collect()
+    }
+
+    fn text(n: usize) -> Vec<u8> {
+        b"the quick brown fox jumps over the lazy checkpoint. "
+            .iter()
+            .copied()
+            .cycle()
+            .take(n)
+            .collect()
+    }
+
+    /// A window cycling through `k` byte values equally often: exactly
+    /// `log2(k)` bits per byte.
+    fn uniform_over(k: usize, n: usize) -> Vec<u8> {
+        (0..n).map(|i| ((i * 7) % k) as u8).collect()
+    }
+
+    #[test]
+    fn gate_threshold_is_exact_integer_cost() {
+        // 8 and 7 bits per byte reach the 6.5-bit threshold, 6 does not.
+        assert!(near_incompressible(&uniform_over(256, GATE_WINDOW)));
+        assert!(near_incompressible(&uniform_over(128, GATE_WINDOW)));
+        assert!(!near_incompressible(&uniform_over(64, GATE_WINDOW)));
+        // Half the bytes over 64 values (7 bits each), half over 32 (6
+        // bits each): exactly 6.5 bits per byte, which counts as gated.
+        let mut mixed: Vec<u8> = (0..GATE_WINDOW / 2).map(|i| (i % 64) as u8).collect();
+        mixed.extend((0..GATE_WINDOW / 2).map(|i| 0x80 | (i % 32) as u8));
+        assert!(near_incompressible(&mixed));
+        // One byte moved from a 7-bit value to a 6-bit one drops below.
+        mixed[0] = 0x80;
+        assert!(!near_incompressible(&mixed));
+        // One symbol costs one bit per byte.
+        assert!(!near_incompressible(&[9u8; 100]));
+    }
+
+    #[test]
+    fn gated_noise_yields_no_short_matches() {
+        let data = noise(6 * GATE_WINDOW, 3);
+        let tokens = tokenize(&data, Level::Best);
+        assert!(tokens.iter().all(|t| matches!(t, Token::Literal(_))));
+        assert_eq!(resolve(&tokens), data);
+    }
+
+    #[test]
+    fn skim_finds_repeats_of_gated_bytes_at_every_alignment() {
+        // A noise block repeated at distances that are and are not
+        // multiples of the skim grid: most of each copy must become
+        // matches.
+        for dist in [1000usize, 1001, 4099, 20_000] {
+            let block = noise(dist, dist as u64);
+            let mut data = block.clone();
+            data.extend_from_slice(&block);
+            data.extend_from_slice(&block[..dist / 2]);
+            for level in [Level::Fast, Level::Default, Level::Best] {
+                let tokens = tokenize(&data, level);
+                assert_eq!(resolve(&tokens), data, "dist {dist} {level:?}");
+                let matched: usize = tokens
+                    .iter()
+                    .map(|t| match t {
+                        Token::Match { len, .. } => usize::from(*len),
+                        Token::Literal(_) => 0,
+                    })
+                    .sum();
+                let repeated = data.len() - dist;
+                let reach = SKIM_INSERT * SKIM_STRIDE + SKIM_MIN_MATCH;
+                assert!(
+                    matched + reach >= repeated,
+                    "dist {dist} {level:?}: {matched} of {repeated} repeated bytes matched"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn inputs_shorter_than_a_window_or_ending_mid_window_roundtrip() {
+        let mut lens = vec![0usize, 1, 2, 3, 4, 15, 16, 17, 100];
+        lens.extend([GATE_WINDOW - 1, GATE_WINDOW, GATE_WINDOW + 1, 3 * GATE_WINDOW + 123]);
+        for len in lens {
+            // Noise (gated), text (matcher), and both alternating.
+            let mixed: Vec<u8> = noise(len, 11)
+                .chunks(GATE_WINDOW)
+                .zip(text(len).chunks(GATE_WINDOW))
+                .enumerate()
+                .flat_map(|(k, (a, b))| if k % 2 == 0 { a.to_vec() } else { b.to_vec() })
+                .collect();
+            for data in [noise(len, 7), text(len), mixed] {
+                for level in [Level::Fast, Level::Default, Level::Best] {
+                    assert_eq!(resolve(&tokenize(&data, level)), data, "len {len} {level:?}");
+                    let packed = crate::deflate::compress(&data, level);
+                    assert_eq!(
+                        crate::inflate::inflate(&packed).unwrap(),
+                        data,
+                        "len {len} {level:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mode_switches_are_reported_at_window_boundaries() {
+        // noise | text | text | noise: switches where the second and
+        // fourth windows begin (a match may carry past a boundary, so a
+        // switch lands at or just after it).
+        let mut data = noise(GATE_WINDOW, 1);
+        data.extend(text(2 * GATE_WINDOW));
+        data.extend(noise(GATE_WINDOW, 2));
+        struct Spy {
+            seen: usize,
+            switches: Vec<usize>,
+        }
+        impl TokenSink for Spy {
+            fn literal(&mut self, _: u8) {
+                self.seen += 1;
+            }
+            fn backref(&mut self, len: u32, _: u32) {
+                self.seen += len as usize;
+            }
+        }
+        let mut spy = Spy { seen: 0, switches: Vec::new() };
+        tokenize_gated(&data, Level::Default, &mut spy, |s: &mut Spy| s.switches.push(s.seen));
+        assert_eq!(spy.seen, data.len());
+        assert_eq!(spy.switches.len(), 3, "{:?}", spy.switches);
+        assert_eq!(spy.switches[0], 0, "the first window is gated: a switch before any token");
+        assert_eq!(spy.switches[1], GATE_WINDOW);
+        assert!((3 * GATE_WINDOW..3 * GATE_WINDOW + MAX_MATCH).contains(&spy.switches[2]));
     }
 }

@@ -80,3 +80,35 @@ fn checkpoint_image_deterministic_and_tagged() {
     assert_eq!(&a[0..4], b"CKPT");
     assert_eq!(fnv1a(&a), fnv1a(&build()));
 }
+
+#[test]
+fn deep_wpk1_is_thread_count_invariant_and_streams_identically() {
+    // A 1156×82×16 array formats to several MiB, so its WPK1 container
+    // spans several 1 MiB members, each mixing f64 windows the LZ77
+    // gate skims with index windows it matches. Every gate decision
+    // depends on its member's bytes alone, so neither the thread count
+    // nor streamed output may change a byte.
+    use lossy_ckpt::deflate::chunked::{self, DEFAULT_CHUNK_BYTES};
+    let field = generate(&FieldSpec {
+        dims: vec![1156, 82, 16],
+        ..FieldSpec::nicam_like(FieldKind::Temperature, 5)
+    });
+    let base = CompressorConfig::paper_proposed();
+    let formatted = Compressor::new(base.with_container(Container::None))
+        .unwrap()
+        .compress(&field)
+        .unwrap()
+        .bytes;
+    assert!(formatted.len() > 3 * DEFAULT_CHUNK_BYTES, "{} bytes", formatted.len());
+    let reference = chunked::compress_chunked(&formatted, base.level, DEFAULT_CHUNK_BYTES, 1);
+    for threads in [2, 4] {
+        let codec = Compressor::new(base.with_threads(threads)).unwrap();
+        let whole = codec.compress(&field).unwrap().bytes;
+        assert!(whole == reference, "threads {threads}: WPK1 bytes differ from 1 thread");
+        let mut streamed = Vec::new();
+        codec.compress_stream(&field, &mut streamed).unwrap();
+        assert!(streamed == whole, "threads {threads}: compress_stream differs from compress");
+    }
+    let restored = Compressor::decompress(&reference).unwrap();
+    assert!(relative_error(&field, &restored).unwrap().average < 0.01);
+}

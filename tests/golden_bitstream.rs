@@ -60,6 +60,35 @@ fn new_compressor_roundtrips_the_golden_input_at_every_level() {
     }
 }
 
+/// FNV-1a, enough to fingerprint a compressed stream.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+#[test]
+fn streams_below_the_lz77_gate_keep_their_exact_bytes() {
+    // The text run and zero page of the golden input sit below the LZ77
+    // entropy gate in every window, so the gate never engages on them
+    // and the encoder must write exactly the bytes it wrote before the
+    // gate, the count-only package-merge and the fixed-width bit flush
+    // existed. The hashes were recorded with that earlier encoder.
+    let input = golden_input();
+    let below_gate = &input[32 * 1024..72 * 1024];
+    for (level, want) in [
+        (Level::Fast, 0x48d5_2152_7f0b_936f_u64),
+        (Level::Default, 0xca22_0628_06f1_3179),
+        (Level::Best, 0xa055_9471_8711_5b33),
+    ] {
+        let packed = gzip::compress(below_gate, level);
+        assert_eq!(fnv1a(&packed), want, "{level:?}: {} bytes", packed.len());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 

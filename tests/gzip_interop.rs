@@ -103,3 +103,36 @@ fn compressed_checkpoint_streams_survive_system_gzip_roundtrip() {
     let err = relative_error(&field, &restored).unwrap();
     assert!(err.average < 0.01);
 }
+
+#[test]
+fn system_gzip_decodes_gated_checkpoint_streams_at_every_level() {
+    // A real WCK1 formatted stream mixes f64 sections, which the LZ77
+    // gate emits as literal runs, with index and bitmap sections, which
+    // keep the matcher; the gate cuts a block at every switch. Stock
+    // gzip must decode the result at every level.
+    if !system_gzip_available() {
+        eprintln!("skipping: no system gzip");
+        return;
+    }
+    use lossy_ckpt::prelude::*;
+    let field = generate(&FieldSpec {
+        dims: vec![512, 41, 2],
+        ..FieldSpec::nicam_like(FieldKind::Pressure, 3)
+    });
+    let cfg = CompressorConfig::paper_proposed().with_container(Container::None);
+    let formatted = Compressor::new(cfg).unwrap().compress(&field).unwrap().bytes;
+    for level in [Level::Store, Level::Fast, Level::Default, Level::Best] {
+        let packed = gzip::compress(&formatted, level);
+        let mut child = Command::new("gzip")
+            .arg("-dc")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn gzip");
+        child.stdin.as_mut().unwrap().write_all(&packed).unwrap();
+        let out = child.wait_with_output().unwrap();
+        assert!(out.status.success(), "gzip -dc rejected our {level:?} checkpoint stream");
+        assert!(out.stdout == formatted, "payload mismatch at {level:?}");
+    }
+}
